@@ -42,24 +42,27 @@ object CommunityFeatures {
                   userFeat: Long => Array[Double],
                   k: Int, interDims: Int, featDims: Int): Seq[CommFeat] = {
     val d = interDims + featDims
+    // one pass buckets the edges inside a community, keeping pairInter's
+    // order within each bucket (and so each sum's order)
+    val commOf = assigns.iterator.map(a => a.friend -> a.comm).toMap
+    val innerByComm = pairInter.toSeq
+      .filter { case ((a, b), _) => commOf.contains(a) && commOf.get(a) == commOf.get(b) }
+      .groupBy { case ((a, _), _) => commOf(a) }
     assigns.groupBy(_.comm).toSeq.sortBy(_._1).map { case (comm, membersAssign) =>
       val sorted = membersAssign.sortBy(_.friend)
       val members = sorted.map(_.friend).toArray
       val tight = sorted.map(_.tightness).toArray
-      val inComm = members.toSet
 
       val userSum = mutable.LinkedHashMap.empty[Long, Array[Double]]
       members.foreach(m => userSum(m) = new Array[Double](interDims))
       val commTotal = new Array[Double](interDims)
-      pairInter.foreach { case ((a, b), inter) =>
-        if (inComm(a) && inComm(b)) {
-          var j = 0
-          while (j < interDims) {
-            userSum(a)(j) += inter(j)
-            userSum(b)(j) += inter(j)
-            commTotal(j) += inter(j)
-            j += 1
-          }
+      innerByComm.getOrElse(comm, Nil).foreach { case ((a, b), inter) =>
+        var j = 0
+        while (j < interDims) {
+          userSum(a)(j) += inter(j)
+          userSum(b)(j) += inter(j)
+          commTotal(j) += inter(j)
+          j += 1
         }
       }
 

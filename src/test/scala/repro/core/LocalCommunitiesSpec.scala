@@ -97,4 +97,28 @@ class LocalCommunitiesSpec extends SparkSpec {
       assert(a.tightness == 1.0)
     }
   }
+
+  test("detectOne is invariant to the order and orientation of the inner edges") {
+    // Inner edges arrive in cogroup shuffle order, which depends on the
+    // partition count; the assignments must not.
+    val rng = new scala.util.Random(3)
+    (0 until 300).foreach { i =>
+      val n = 2 + rng.nextInt(39)
+      val blocks = 1 + rng.nextInt(4)
+      val block = Array.fill(n)(rng.nextInt(blocks))
+      val pIn = 0.3 + 0.6 * rng.nextDouble()
+      val pOut = 0.1 * rng.nextDouble()
+      val friends = Array.tabulate(n)(j => 100L + 3 * j)
+      val inner = for {
+        a <- 0 until n; b <- a + 1 until n
+        if rng.nextDouble() < (if (block(a) == block(b)) pIn else pOut)
+      } yield (friends(a), friends(b))
+      val want = LocalCommunities.detectOne(1L, friends, inner)
+      (0 until 2).foreach { _ =>
+        val scrambled = rng.shuffle(inner).map { case (a, b) => if (rng.nextBoolean()) (b, a) else (a, b) }
+        assert(LocalCommunities.detectOne(1L, rng.shuffle(friends.toSeq).toArray, scrambled) == want,
+          s"graph $i")
+      }
+    }
+  }
 }
